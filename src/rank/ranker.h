@@ -144,8 +144,8 @@ Status ValidateContext(const RankContext& ctx, bool requires_authors,
                        bool accepts_views = false);
 
 /// Worker count a ranker should use: `option_threads` resolved (0 = auto =
-/// hardware concurrency) and clamped by `ctx.max_threads`. Shared by every
-/// iterative ranker implementation.
+/// hardware concurrency, negative = serial) and clamped by
+/// `ctx.max_threads`. Shared by every iterative ranker implementation.
 size_t EffectiveThreads(int option_threads, const RankContext& ctx);
 
 }  // namespace scholar

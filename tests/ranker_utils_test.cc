@@ -117,5 +117,12 @@ TEST(RankContextTest, EffectiveNowDefaultsToMaxYear) {
   EXPECT_EQ(ctx.EffectiveNow(), 2010);
 }
 
+TEST(EffectiveThreadsTest, NegativeOptionRunsSerial) {
+  RankContext ctx;
+  EXPECT_EQ(EffectiveThreads(-3, ctx), 1u);
+  ctx.max_threads = 2;
+  EXPECT_EQ(EffectiveThreads(-3, ctx), 1u);
+}
+
 }  // namespace
 }  // namespace scholar
