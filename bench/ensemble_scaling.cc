@@ -1,7 +1,8 @@
 /// Ensemble-scaling baseline — cost of the ensemble's snapshot machinery
-/// with zero-copy temporal views vs the legacy materialized path, written
+/// with zero-copy temporal views vs materialized snapshot copies, written
 /// to BENCH_ensemble_scaling.json so the perf trajectory is tracked
-/// in-repo.
+/// in-repo. The materialized column ranks TWPR wrapped in NoViews, which
+/// sends the ensemble down its copy branch for bases without view support.
 ///
 /// Two claims are measured on an AMiner-profile graph with k equal-count
 /// slices:
@@ -25,6 +26,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_common.h"
@@ -62,6 +64,21 @@ struct Row {
   double materialized_wall_ms = 0.0;
   bool scores_match_materialized = false;
   bool scores_match_serial = false;
+};
+
+/// Forwards to `base` but reports no view support, so the ensemble ranks
+/// each snapshot as a materialized copy of the same prefix.
+class NoViews : public Ranker {
+ public:
+  explicit NoViews(std::shared_ptr<const Ranker> base)
+      : base_(std::move(base)) {}
+  std::string name() const override { return base_->name(); }
+
+ private:
+  Result<RankResult> RankImpl(const RankContext& ctx) const override {
+    return base_->Rank(ctx);
+  }
+  std::shared_ptr<const Ranker> base_;
 };
 
 /// Heap bytes a CitationGraph retains (years + out/in CSR).
@@ -147,8 +164,10 @@ EnsembleRanker MakeEnsemble(int threads, bool materialize) {
   o.num_slices = kNumSlices;
   o.warm_start = false;  // snapshots rank concurrently — the hard mode
   o.threads = threads;
-  o.materialize_snapshots = materialize;
-  return EnsembleRanker(std::make_shared<TimeWeightedPageRank>(twpr), o);
+  std::shared_ptr<const Ranker> base =
+      std::make_shared<TimeWeightedPageRank>(twpr);
+  if (materialize) base = std::make_shared<NoViews>(std::move(base));
+  return EnsembleRanker(std::move(base), o);
 }
 
 double TimeRank(const EnsembleRanker& ens, const CitationGraph& g,

@@ -66,22 +66,14 @@ struct EnsembleOptions {
   /// scores. Purely a speedup — the fixed points are unchanged — and it
   /// typically halves the total power-iteration count of the ensemble.
   bool warm_start = true;
-  /// Force the legacy materialized-snapshot path (each snapshot extracted
-  /// as a full CitationGraph copy) instead of zero-copy temporal views.
-  /// Bit-identical scores either way — this is the oracle the view path is
-  /// verified against (tests, bench/ensemble_scaling) and an escape hatch;
-  /// it costs O(k·(V+E)) snapshot memory instead of O(V+E). Only
-  /// meaningful for base rankers that support views; others always
-  /// materialize.
-  bool materialize_snapshots = false;
   /// Worker threads: 0 = hardware concurrency, 1 = serial. With
   /// warm_start=false the k snapshot rankings are independent and run
   /// concurrently (the base ranker is capped to one thread per snapshot so
   /// the two levels never oversubscribe); with warm_start=true the chain
-  /// stays sequential but the per-snapshot warm-start extraction,
-  /// normalization scatter, and accumulation run on the pool, and the base
-  /// ranker inherits the full thread budget. Scores are bit-identical at
-  /// every setting.
+  /// stays sequential but the per-snapshot warm-start seeding,
+  /// normalization, and accumulation run on the pool, and the base ranker
+  /// inherits the full thread budget. Scores are bit-identical at every
+  /// setting.
   int threads = 0;
 };
 
@@ -98,6 +90,13 @@ struct EnsembleOptions {
 /// snapshot ending near its publication year it competes only against
 /// near-contemporaries. Averaging across snapshots blends "how it stands
 /// today" with "how it stood in its own era".
+///
+/// All k snapshots are prefixes of one TemporalCsr (nodes relabeled in
+/// publication-year order). A base whose SupportsSnapshotViews() is true
+/// ranks each snapshot as a zero-copy SnapshotView; any other base ranks
+/// the same prefix copied out of the sorted graph, with ctx.authors and
+/// ctx.venues restricted to it. A view-capable base scores a view and its
+/// copy bit-identically, which is how the tests check the view path.
 class EnsembleRanker : public Ranker {
  public:
   /// `base` ranks each snapshot; it must outlive this ranker (shared
@@ -125,16 +124,6 @@ class EnsembleRanker : public Ranker {
   const Ranker& base() const { return *base_; }
 
  private:
-  /// The zero-copy path: one TemporalCsr build, every snapshot a prefix
-  /// view of the sorted parent (or, under options_.materialize_snapshots,
-  /// a materialized copy of the same prefix — the bit-identical oracle).
-  /// All internal state lives in year-sorted node space; the final scores
-  /// are scattered back through the permutation. Taken whenever the base
-  /// ranker supports views and the context carries no authors/venues.
-  Result<RankResult> RankViaTemporalViews(
-      const RankContext& ctx, std::vector<SnapshotDetail>* details,
-      const std::vector<Year>& boundaries) const;
-
   std::shared_ptr<const Ranker> base_;
   EnsembleOptions options_;
 };

@@ -58,6 +58,9 @@ Result<EpochStats> EpochPipeline::Step(EdgeBatch batch) {
   WallTimer timer;
   SCHOLAR_ASSIGN_OR_RETURN(stats.batches_applied,
                            graph_->Ingest(std::move(batch)));
+  // graph() rebuilds the frozen CSR the ranker reads; that is part of
+  // applying the batch.
+  const CitationGraph& g = graph_->graph();
   stats.apply_ms = timer.ElapsedMillis();
   stats.graph_version = graph_->version();
   stats.nodes_added = graph_->num_nodes() - old_n;
@@ -71,7 +74,6 @@ Result<EpochStats> EpochPipeline::Step(EdgeBatch batch) {
     return stats;
   }
 
-  const CitationGraph& g = graph_->graph();
   timer.Reset();
   Result<RankResult> ranked =
       ranker_->mode() == "frontier"

@@ -26,7 +26,7 @@ struct EpochStats {
   size_t num_edges = 0;
   int iterations = 0;            // solver rounds this epoch (warm)
   bool converged = true;
-  double apply_ms = 0.0;
+  double apply_ms = 0.0;         // Ingest + frozen-CSR rebuild
   double rank_ms = 0.0;
   double publish_ms = 0.0;
 };

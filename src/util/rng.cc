@@ -120,8 +120,10 @@ uint64_t Rng::NextZipf(uint64_t n, double s) {
     const double u = hx0 + NextDouble() * (hn - hx0);
     const double x = h_inv(u);
     const double k = std::floor(x + 0.5);
-    if (k < 1.0 || k > static_cast<double>(n)) continue;
-    if (u >= h(k + 0.5) - std::pow(k, -q)) continue;
+    // Written to reject a NaN k too (h_inv of a small-s draw near hx0).
+    if (!(k >= 1.0 && k <= static_cast<double>(n))) continue;
+    // Accept only the top k^-q of k's hat interval, so P(k) ∝ k^-q.
+    if (u < h(k + 0.5) - std::pow(k, -q)) continue;
     return static_cast<uint64_t>(k) - 1;
   }
 }

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <map>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -148,6 +149,31 @@ TEST(RngTest, ZipfRanksAreMonotoneInFrequency) {
   EXPECT_GT(counts[0], counts[3]);
   EXPECT_GT(counts[3], counts[9]);
   EXPECT_GT(counts[9], 0);
+
+  // The shares of the three most frequent ids match the pmf
+  // (i+1)^-s / H(n, s) within 5 binomial standard errors.
+  constexpr int kDraws = 100000;
+  const std::pair<uint64_t, double> params[] = {
+      {10, 1.0}, {5, 2.0}, {200000, 1.1}, {3, 0.5}};
+  for (const auto& [n, s] : params) {
+    double harmonic = 0.0;
+    for (uint64_t i = 1; i <= n; ++i) {
+      harmonic += std::pow(static_cast<double>(i), -s);
+    }
+    std::vector<int> top(3, 0);
+    for (int i = 0; i < kDraws; ++i) {
+      const uint64_t id = rng.NextZipf(n, s);
+      ASSERT_LT(id, n);
+      if (id < 3) ++top[id];
+    }
+    for (uint64_t id = 0; id < 3; ++id) {
+      const double pmf =
+          std::pow(static_cast<double>(id + 1), -s) / harmonic;
+      const double se = std::sqrt(pmf * (1.0 - pmf) / kDraws);
+      EXPECT_NEAR(static_cast<double>(top[id]) / kDraws, pmf, 5.0 * se)
+          << "n=" << n << " s=" << s << " id=" << id;
+    }
+  }
 }
 
 TEST(RngTest, ZipfZeroExponentIsUniform) {
